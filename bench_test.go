@@ -265,7 +265,7 @@ func BenchmarkParaMatchCold(b *testing.B) {
 	pairs := st.anns
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewMatcher(st.sys.GD, st.sys.G, st.sys.rankerD, st.sys.rankerG, p)
+		m, err := core.NewMatcher(st.sys.GD, st.sys.G, st.sys.RankerD(), st.sys.RankerG(), p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -111,3 +111,36 @@ func TestThresholdsRaceWithParallelAPair(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestTrainRankerRaceWithShardConfig pins the lock discipline of
+// TrainRanker: the new language model and every ranker rebuilt around
+// it are installed under s.mu, the lock ShardConfig's snapshot reads
+// them under. Before the fix, the unlocked install raced with the
+// snapshot; run with -race to regress it.
+func TestTrainRankerRaceWithShardConfig(t *testing.T) {
+	sys, _, _ := concurrencyFixture(t)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sys.ShardConfig(1)
+				sys.RankerD()
+				sys.RankerG()
+			}
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		if err := sys.TrainRanker(10, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

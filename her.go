@@ -4,7 +4,8 @@
 // that refer to the same real-world entity, via parametric simulation.
 //
 // A System is assembled from a database and a graph (Fig. 2): the
-// RDB2RDF module converts D to a canonical graph G_D; the Learn module
+// RDB2RDF module converts D to a canonical graph G_D — hosted as the
+// built-in "direct" graph view, one of possibly many; the Learn module
 // trains the parameter functions (M_v, M_ρ, M_r) and selects the
 // thresholds (σ, δ, k); and three query modes answer requests:
 //
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"her/internal/bsp"
 	"her/internal/core"
@@ -37,6 +37,7 @@ import (
 	"her/internal/rdb2rdf"
 	"her/internal/relational"
 	"her/internal/shard"
+	"her/internal/view"
 )
 
 // Public aliases so downstream users can name the library's types
@@ -102,55 +103,47 @@ func SpanFrom(ctx context.Context) *Span { return obs.SpanFrom(ctx) }
 type System struct {
 	opts Options // guarded by mu — SetThresholds and LoadModels mutate it while queries read it
 
-	DB      *relational.Database
+	DB *relational.Database
+	// GD and Mapping are the direct view's graph and tuple mapping
+	// (Mapping is nil for a System built without a database). They are
+	// reassigned under mu whenever the direct view recompiles, so
+	// concurrent readers go through the locked accessors (GDLabel,
+	// TupleVertex, TupleOf) or the direct view's handle.
 	GD      *graph.Graph
-	Mapping *rdb2rdf.Mapping
+	Mapping *view.Mapping
 	G       *graph.Graph
 
 	sc      *scorers
-	lm      *lstm.Model
-	rankerD *ranking.Ranker
-	rankerG *ranking.Ranker
+	lm      *lstm.Model     // guarded by mu — TrainRanker and LoadModels install a new one
+	rankerG *ranking.Ranker // guarded by mu — rebuilt around every new language model
 
-	mu        sync.Mutex         // serializes matching and mutation
-	matcher   *core.Matcher      // guarded by mu
-	ix        *index.Inverted    // guarded by mu — the G-side blocking index, shared by all views
-	gen       core.CandidateGen  // guarded by mu — swapped whole on index rebuilds
-	overrides map[core.Pair]bool // guarded by mu — user-verified pairs (Section IV refinement)
-	lastPar   *bsp.Stats         // guarded by mu — stats of the most recent parallel APair run
+	mu      sync.Mutex      // serializes matching and mutation
+	ix      *index.Inverted // guarded by mu — the G-side blocking index, shared by all views
+	lastPar *bsp.Stats      // guarded by mu — stats of the most recent parallel APair run
 
-	// views hosts the named graph views (viewapi.go); each carries its
-	// own G_D-side graph, mapping, matcher, generation and delta log.
-	// Guarded by mu.
+	// views hosts the graph views (viewapi.go), "direct" included; each
+	// carries its own G_D-side graph, mapping, matcher, overrides,
+	// generation and delta log. Guarded by mu.
 	views map[string]*viewState
-
-	// generation counts semantic mutations: incremental updates to D or
-	// G, feedback, retraining, threshold changes — anything that can
-	// change a match verdict. Each bump records exactly one typed delta
-	// in the delta log, so external engines (internal/shard) can tell
-	// incremental updates — maintainable in place, with vertex-scoped
-	// cache invalidation — from resets that force a full rebuild.
-	generation atomic.Uint64
-	deltas     *shard.DeltaLog
+	// direct addresses the built-in direct view, views["direct"]: the
+	// tuple- and vertex-addressed query surface of the System delegates
+	// to it. Set at construction, never reassigned.
+	direct *ViewHandle
 }
 
-// New builds a System from a relational database and a graph, converting
-// the database with the RDB2RDF canonical mapping.
+// New builds a System from a relational database and a graph. The
+// direct view — the RDB2RDF canonical mapping, compiled from
+// view.Direct(db) — provides G_D and the tuple mapping f_D.
 func New(db *relational.Database, g *graph.Graph, opts Options) (*System, error) {
 	if db == nil || g == nil {
 		return nil, fmt.Errorf("her: database and graph must be non-nil")
 	}
-	gd, mapping, err := rdb2rdf.Map(db)
+	def := view.Direct(db)
+	gd, mapping, err := view.Compile(def, db)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewFromGraphs(gd, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.DB = db
-	s.Mapping = mapping
-	return s, nil
+	return newSystem(db, &viewState{def: def, gd: gd, mapping: mapping}, g, opts)
 }
 
 // NewFromGraphs builds a System directly over a pre-converted canonical
@@ -159,21 +152,25 @@ func NewFromGraphs(gd, g *graph.Graph, opts Options) (*System, error) {
 	if gd == nil || g == nil {
 		return nil, fmt.Errorf("her: graphs must be non-nil")
 	}
+	return newSystem(nil, &viewState{gd: gd}, g, opts)
+}
+
+// newSystem assembles a System around its direct view.
+func newSystem(db *relational.Database, direct *viewState, g *graph.Graph, opts Options) (*System, error) {
 	o := opts.Normalize()
 	s := &System{
-		opts:      o,
-		GD:        gd,
-		G:         g,
-		sc:        newScorers(embed.NewEncoder(o.EmbeddingDim)),
-		rankerD:   ranking.NewRanker(gd, nil, o.MaxPathLen),
-		rankerG:   ranking.NewRanker(g, nil, o.MaxPathLen),
-		overrides: make(map[core.Pair]bool),
-		deltas:    shard.NewDeltaLog(0),
+		opts:    o,
+		DB:      db,
+		G:       g,
+		sc:      newScorers(embed.NewEncoder(o.EmbeddingDim)),
+		rankerG: ranking.NewRanker(g, nil, o.MaxPathLen),
 	}
 	s.buildCandidateGenLocked()
-	if err := s.resetMatcherLocked(); err != nil {
+	direct.name = DirectViewName
+	if err := s.installViewLocked(direct); err != nil {
 		return nil, err
 	}
+	s.direct = &ViewHandle{sys: s, vs: direct}
 	return s, nil
 }
 
@@ -205,53 +202,37 @@ func (s *System) paramsLocked() core.Params {
 // over its own G_D-side graph. Callers hold s.mu (construction-time
 // calls own the System exclusively).
 func (s *System) buildCandidateGenLocked() {
-	ix := index.BuildDocs(s.G,
+	s.ix = index.BuildDocs(s.G,
 		func(v graph.VID) bool { return !s.G.IsLeaf(v) },
 		index.NeighborhoodDoc(s.G))
-	s.ix = ix
-	docD := index.NeighborhoodDoc(s.GD)
-	min := s.opts.MinSharedTokens
-	s.gen = func(u graph.VID) []graph.VID {
-		return ix.Lookup(docD(u), min)
-	}
 	for _, vs := range s.views {
-		vs.rebuildGenFrom(ix, min)
+		vs.rebuildGenFrom(s.ix, s.opts.MinSharedTokens)
 	}
 }
 
+// resetMatcherLocked rebuilds every view's matcher around the current
+// scorers and thresholds. Every matcher reset is a semantic change (new
+// scorers, thresholds or feedback) that can flip verdicts anywhere, so
+// each view records a reset delta, which poisons incremental
+// maintenance and forces external engines into a full rebuild with
+// total cache invalidation. Callers hold s.mu.
 func (s *System) resetMatcherLocked() error {
-	m, err := core.NewMatcher(s.GD, s.G, s.rankerD, s.rankerG, s.paramsLocked())
-	if err != nil {
-		return err
+	for _, name := range s.viewNamesLocked() {
+		vs := s.views[name]
+		if err := s.newMatcherLocked(vs); err != nil {
+			return err
+		}
+		vs.record(shard.Delta{Kind: shard.DeltaReset})
+		s.publishViewMetricsLocked(vs)
 	}
-	m.SetMetrics(s.opts.Metrics)
-	s.matcher = m
-	// Every matcher reset is a semantic change (new scorers, thresholds
-	// or feedback) that can flip verdicts anywhere: record it as a reset
-	// delta, which poisons incremental maintenance and forces external
-	// engines into a full rebuild with total cache invalidation. The
-	// hosted views share the scorers and thresholds, so each gets the
-	// same treatment: a rebuilt matcher and a reset delta in its own log.
-	s.recordDelta(shard.Delta{Kind: shard.DeltaReset})
-	return s.resetViewsLocked()
+	return nil
 }
 
-// recordDelta stamps d with the next generation, records it in the
-// delta log, and only then publishes the generation bump — so any
-// engine that observes the new generation is guaranteed to find its
-// delta in the log. Callers hold s.mu (all mutation paths do), which
-// serializes the stamp-record-bump sequence.
-func (s *System) recordDelta(d shard.Delta) {
-	d.Gen = s.generation.Load() + 1
-	s.deltas.Record(d)
-	s.generation.Add(1)
-}
-
-// Generation reports the system's mutation generation. It changes
-// whenever a match verdict could: incremental updates (AddTuple,
-// AddGraphVertex, AddGraphEdge), feedback (Refine), retraining and
-// threshold changes all bump it. Safe for concurrent use.
-func (s *System) Generation() uint64 { return s.generation.Load() }
+// Generation reports the system's mutation generation — the direct
+// view's. It changes whenever a match verdict could: incremental
+// updates (AddTuple, AddGraphVertex, AddGraphEdge), feedback (Refine),
+// retraining and threshold changes all bump it. Safe for concurrent use.
+func (s *System) Generation() uint64 { return s.direct.Generation() }
 
 // Metrics returns the registry the system was built with (nil when
 // instrumentation is disabled).
@@ -288,32 +269,9 @@ func (s *System) SetThresholds(th Thresholds) error {
 	return s.resetMatcherLocked()
 }
 
-// tupleVertex resolves a tuple to its canonical-graph vertex via f_D.
-// The lookup takes the system lock: AddTuple extends the mapping's
-// tables while serving paths resolve concurrently.
-func (s *System) tupleVertex(rel string, tupleID int) (graph.VID, error) {
-	if s.Mapping == nil {
-		return graph.NoVertex, fmt.Errorf("her: no tuple mapping (built with NewFromGraphs)")
-	}
-	s.mu.Lock()
-	u, ok := s.Mapping.VertexOf(rel, tupleID)
-	s.mu.Unlock()
-	if !ok {
-		return graph.NoVertex, fmt.Errorf("her: unknown tuple %s/%d", rel, tupleID)
-	}
-	return u, nil
-}
-
 // TupleOf reports which tuple a G_D vertex canonicalizes (the inverse of
 // TupleVertex), under the system lock — safe against concurrent AddTuple.
-func (s *System) TupleOf(u VertexID) (TupleRef, bool) {
-	if s.Mapping == nil {
-		return TupleRef{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Mapping.TupleOf(u)
-}
+func (s *System) TupleOf(u VertexID) (TupleRef, bool) { return s.direct.TupleOf(u) }
 
 // GraphValid reports whether v is a vertex of G, under the system lock —
 // safe against a concurrent AddGraphVertex growing the vertex table.
@@ -337,56 +295,30 @@ func (s *System) GraphLabel(v VertexID) string {
 
 // GDLabel returns the label of G_D vertex u ("" when u is not a vertex
 // of G_D), under the system lock — AddTuple extends G_D while serving.
-func (s *System) GDLabel(u VertexID) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.GD.Valid(u) {
-		return ""
-	}
-	return s.GD.Label(u)
-}
+func (s *System) GDLabel(u VertexID) string { return s.direct.GDLabel(u) }
 
 // TupleVertex resolves a tuple to its canonical-graph vertex via f_D —
 // the public form of the resolution every tuple-addressed query runs.
 func (s *System) TupleVertex(rel string, tupleID int) (VertexID, error) {
-	return s.tupleVertex(rel, tupleID)
+	return s.direct.TupleVertex(rel, tupleID)
 }
 
 // SPair checks whether tuple (rel, tupleID) and vertex v refer to the
 // same entity (mode SPair of Fig. 2).
 func (s *System) SPair(rel string, tupleID int, v VertexID) (bool, error) {
-	u, err := s.tupleVertex(rel, tupleID)
-	if err != nil {
-		return false, err
-	}
-	return s.SPairVertices(u, v), nil
+	return s.direct.SPair(rel, tupleID, v)
 }
 
 // SPairVertices is SPair addressed by vertex ids.
-func (s *System) SPairVertices(u, v VertexID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if verdict, ok := s.overrides[core.Pair{U: u, V: v}]; ok {
-		return verdict
-	}
-	return s.matcher.Match(u, v)
-}
+func (s *System) SPairVertices(u, v VertexID) bool { return s.direct.spairVertex(u, v) }
 
 // VPair finds all vertices of G matching tuple (rel, tupleID).
 func (s *System) VPair(rel string, tupleID int) ([]Pair, error) {
-	u, err := s.tupleVertex(rel, tupleID)
-	if err != nil {
-		return nil, err
-	}
-	return s.VPairVertex(u), nil
+	return s.direct.VPair(rel, tupleID)
 }
 
 // VPairVertex is VPair addressed by the tuple's canonical vertex.
-func (s *System) VPairVertex(u VertexID) []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyOverridesLocked(s.matcher.VPair(u, s.gen), u)
-}
+func (s *System) VPairVertex(u VertexID) []Pair { return s.direct.vpairVertex(u) }
 
 // VPairTraced is VPair with request tracing: sp, when non-nil, receives
 // a "resolve" child for the tuple lookup and — through the matcher —
@@ -396,53 +328,16 @@ func (s *System) VPairVertex(u VertexID) []Pair {
 // the lock is released, so concurrent requests never share it. A nil
 // sp makes this identical to VPair.
 func (s *System) VPairTraced(rel string, tupleID int, sp *Span) ([]Pair, error) {
-	rsp := sp.Child("resolve")
-	u, err := s.tupleVertex(rel, tupleID)
-	rsp.End()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.matcher.SetSpan(sp)
-	defer s.matcher.SetSpan(nil)
-	return s.applyOverridesLocked(s.matcher.VPair(u, s.gen), u), nil
-}
-
-// sources returns the G_D vertices APair ranges over: the tuple vertices
-// when a mapping exists, every vertex otherwise.
-func (s *System) sources() []graph.VID {
-	if s.Mapping == nil {
-		return nil
-	}
-	names := s.DB.RelationNames()
-	total := 0
-	for _, relName := range names {
-		total += len(s.DB.Relation(relName).Tuples)
-	}
-	out := make([]graph.VID, 0, total)
-	for _, relName := range names {
-		rel := s.DB.Relation(relName)
-		out = append(out, s.Mapping.TupleVertices(relName, len(rel.Tuples))...)
-	}
-	return out
+	return s.direct.VPairTraced(rel, tupleID, sp)
 }
 
 // APair computes all matches across D and G sequentially.
-func (s *System) APair() []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyOverridesLocked(s.matcher.APair(s.sources(), s.gen), graph.NoVertex)
-}
+func (s *System) APair() []Pair { return s.direct.APair() }
 
 // APairOf computes all matches for an explicit set of G_D source
 // vertices — the entry point for data formats without a tuple mapping,
 // such as JSON documents converted with NewFromJSON.
-func (s *System) APairOf(sources []VertexID) []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyOverridesLocked(s.matcher.APair(sources, s.gen), graph.NoVertex)
-}
+func (s *System) APairOf(sources []VertexID) []Pair { return s.direct.apairOf(sources) }
 
 // APairParallel computes all matches with the BSP engine on n workers.
 // The run parameters (thresholds, metrics registry, candidate generator,
@@ -450,101 +345,20 @@ func (s *System) APairOf(sources []VertexID) []Pair {
 // starts, so a concurrent SetThresholds or index rebuild cannot tear
 // them mid-run; the engine itself runs without the lock.
 func (s *System) APairParallel(workers int) ([]Pair, ParallelStats, error) {
-	s.mu.Lock()
-	p := s.paramsLocked()
-	met := s.opts.Metrics
-	gen := s.gen
-	sources := s.sources()
-	s.mu.Unlock()
-	eng, err := bsp.NewEngine(s.GD, s.G, s.rankerD, s.rankerG, p)
-	if err != nil {
-		return nil, ParallelStats{}, err
-	}
-	eng.Metrics = met
-	matches, stats, err := eng.Run(sources, gen, bsp.Config{Workers: workers})
-	if err != nil {
-		return nil, stats, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastPar = &stats
-	return s.applyOverridesLocked(matches, graph.NoVertex), stats, nil
+	return s.direct.APairParallel(workers)
 }
 
 // APairParallelAsync computes all matches with the asynchronous engine
 // (Section VI-B remark 1): no superstep barriers; workers exchange
 // messages as they arrive until quiescence.
 func (s *System) APairParallelAsync(workers int) ([]Pair, ParallelStats, error) {
-	s.mu.Lock()
-	p := s.paramsLocked()
-	met := s.opts.Metrics
-	gen := s.gen
-	sources := s.sources()
-	s.mu.Unlock()
-	eng, err := bsp.NewEngine(s.GD, s.G, s.rankerD, s.rankerG, p)
-	if err != nil {
-		return nil, ParallelStats{}, err
-	}
-	eng.Metrics = met
-	matches, stats, err := eng.RunAsync(sources, gen, bsp.Config{Workers: workers})
-	if err != nil {
-		return nil, stats, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastPar = &stats
-	return s.applyOverridesLocked(matches, graph.NoVertex), stats, nil
-}
-
-// applyOverridesLocked reconciles algorithmic matches with user-verified
-// verdicts: refuted pairs are removed; confirmed pairs for the scoped
-// vertex (or any vertex when scope is NoVertex) are added. Callers hold
-// s.mu (the overrides map mutates under it).
-func (s *System) applyOverridesLocked(matches []Pair, scope graph.VID) []Pair {
-	if len(s.overrides) == 0 {
-		return matches
-	}
-	out := matches[:0]
-	have := make(map[core.Pair]bool, len(matches))
-	for _, p := range matches {
-		if verdict, ok := s.overrides[p]; ok && !verdict {
-			continue
-		}
-		out = append(out, p)
-		have[p] = true
-	}
-	// Collect the confirmed additions and sort them: s.overrides is a
-	// map, and letting its iteration order reach the returned match list
-	// would make VPair/APair responses differ run to run.
-	added := make([]Pair, 0, len(s.overrides))
-	for p, verdict := range s.overrides {
-		if verdict && !have[p] && (scope == graph.NoVertex || p.U == scope) {
-			added = append(added, p)
-		}
-	}
-	return append(out, core.SortPairs(added)...)
-}
-
-// ApplyOverrides reconciles an externally computed match set with the
-// user-verified overrides — the hook engines outside the System's own
-// matcher (internal/shard's scatter-gather) run their merged results
-// through. scope restricts confirmed additions to one G_D vertex
-// (VPair); pass NoVertex for APair-style results. The input slice is
-// reused, matching the internal call sites.
-func (s *System) ApplyOverrides(matches []Pair, scope VertexID) []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyOverridesLocked(matches, scope)
+	return s.direct.APairParallelAsync(workers)
 }
 
 // SourceVertices returns the G_D source vertices APair ranges over: the
 // tuple vertices when a relational mapping exists, nil (= every vertex)
 // otherwise.
-func (s *System) SourceVertices() []VertexID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sources()
-}
+func (s *System) SourceVertices() []VertexID { return s.direct.SourceVertices() }
 
 // Candidates exposes the blocking candidate generator: the G vertices
 // considered for a G_D vertex before the σ filter. Baselines reuse it so
@@ -553,17 +367,25 @@ func (s *System) SourceVertices() []VertexID {
 // rebuilds) and invoked outside it — generators are immutable closures.
 func (s *System) Candidates(u VertexID) []VertexID {
 	s.mu.Lock()
-	gen := s.gen
+	gen := s.direct.vs.gen
 	s.mu.Unlock()
 	return gen(u)
 }
 
 // RankerD exposes the G_D-side ranking function h_r (for harnesses that
 // assemble custom matchers over this system's learned parameters).
-func (s *System) RankerD() *ranking.Ranker { return s.rankerD }
+func (s *System) RankerD() *ranking.Ranker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.direct.vs.rankerD
+}
 
 // RankerG exposes the G-side ranking function h_r.
-func (s *System) RankerG() *ranking.Ranker { return s.rankerG }
+func (s *System) RankerG() *ranking.Ranker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rankerG
+}
 
 // CoreParams exposes the assembled parametric-simulation parameters.
 func (s *System) CoreParams() core.Params {
@@ -576,7 +398,7 @@ func (s *System) CoreParams() core.Params {
 func (s *System) Stats() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.matcher.Stats()
+	return s.direct.vs.matcher.Stats()
 }
 
 // LastParallelStats reports the statistics of the most recent parallel
@@ -606,7 +428,7 @@ func (e *Explanation) Render(sys *System) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "witness Pi: %d pairs\nlineage S:\n", len(e.Witness))
 	for _, p := range e.Lineage {
-		fmt.Fprintf(&b, "  (%q, %q)\n", sys.GD.Label(p.U), sys.G.Label(p.V))
+		fmt.Fprintf(&b, "  (%q, %q)\n", sys.GDLabel(p.U), sys.GraphLabel(p.V))
 	}
 	b.WriteString("schema matches Gamma:\n")
 	for _, sm := range e.SchemaMatches {
@@ -617,22 +439,7 @@ func (e *Explanation) Render(sys *System) string {
 
 // Explain returns the explanation of a confirmed match (running the
 // match first if needed).
-func (s *System) Explain(u, v VertexID) (*Explanation, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.matcher.Match(u, v) {
-		return nil, fmt.Errorf("her: (%d, %d) is not a match", u, v)
-	}
-	sm, err := s.matcher.SchemaMatches(u, v)
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{
-		Witness:       s.matcher.Witness(u, v),
-		Lineage:       s.matcher.Lineage(u, v),
-		SchemaMatches: sm,
-	}, nil
-}
+func (s *System) Explain(u, v VertexID) (*Explanation, error) { return s.direct.Explain(u, v) }
 
 // Predictor returns a learn.Predictor over the current system state,
 // including overrides — the function the evaluation harness scores.

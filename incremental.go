@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"her/internal/graph"
-	"her/internal/rdb2rdf"
 	"her/internal/shard"
 )
 
@@ -19,11 +18,14 @@ import (
 // decisions (plus their dependants) are dropped and recomputed on the
 // next query.
 
-// AddTuple appends a tuple to the database and extends the canonical
-// graph incrementally, returning the new tuple's id. Existing match
+// AddTuple appends a tuple to the database and maintains every hosted
+// view — direct included — returning the new tuple's id. Existing match
 // decisions stay valid; matches of the new tuple are computed on demand.
+// The one exception is a new tuple that resolves a reference which
+// dangled at extraction time: the views it touches recompile (see
+// extendViewLocked), dropping their cached decisions.
 func (s *System) AddTuple(rel string, values ...string) (int, error) {
-	if s.Mapping == nil {
+	if s.DB == nil {
 		return 0, fmt.Errorf("her: no tuple mapping (built with NewFromGraphs)")
 	}
 	s.mu.Lock()
@@ -36,30 +38,10 @@ func (s *System) AddTuple(rel string, values ...string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	base := s.GD.NumVertices()
-	if err := rdb2rdf.AddTuple(s.GD, s.Mapping, s.DB, rel, id); err != nil {
-		return 0, err
-	}
-	// The new tuple extends G_D and the source set: unscoped APair
-	// results are stale now, while VPair and explicit-source results
-	// survive (the fresh region has no incoming edges from old
-	// vertices). The delta carries the exact new region — vertices in id
-	// order, edges grouped by source in insertion order (only the new
-	// vertices gained out-edges) — so an engine mirror replaying it is
-	// byte-identical to this G_D.
-	d := shard.Delta{Kind: shard.DeltaTuple, GDBase: base}
-	for v := base; v < s.GD.NumVertices(); v++ {
-		d.GDLabels = append(d.GDLabels, s.GD.Label(graph.VID(v)))
-		for _, e := range s.GD.Out(graph.VID(v)) {
-			d.GDEdges = append(d.GDEdges, shard.GDEdge{From: graph.VID(v), To: e.To, Label: e.Label})
+	for _, name := range s.viewNamesLocked() {
+		if err := s.extendViewLocked(s.views[name], rel, id); err != nil {
+			return 0, err
 		}
-	}
-	s.recordDelta(d)
-	// Hosted views see the same insertion through their own extraction
-	// rules: append-only extension when sound, recompile + reset when the
-	// new tuple resolves a reference that dangled at extraction time.
-	if err := s.extendViewsLocked(rel, id); err != nil {
-		return 0, err
 	}
 	return id, nil
 }
@@ -73,10 +55,9 @@ func (s *System) AddGraphVertex(label string) VertexID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.G.AddVertex(label)
-	s.recordDelta(shard.Delta{Kind: shard.DeltaGraphVertex, V: v, Label: label})
 	// G is shared by every view, so each view's engine mirror needs the
 	// same delta in its own log.
-	for _, name := range s.sortedViewNamesLocked() {
+	for _, name := range s.viewNamesLocked() {
 		s.views[name].record(shard.Delta{Kind: shard.DeltaGraphVertex, V: v, Label: label})
 	}
 	return v
@@ -85,7 +66,8 @@ func (s *System) AddGraphVertex(label string) VertexID {
 // AddGraphEdge adds an edge to G and performs incremental maintenance:
 // every vertex that can reach the edge's source within MaxPathLen hops
 // may select different top-k properties now, so its ranker entry and its
-// cached match decisions (with dependants) are dropped.
+// cached match decisions (with dependants) are dropped — in every view,
+// since the affected set is G-side.
 func (s *System) AddGraphEdge(from, to VertexID, label string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,17 +78,11 @@ func (s *System) AddGraphEdge(from, to VertexID, label string) error {
 	for v := range affected {
 		s.rankerG.Invalidate(v)
 	}
-	s.matcher.ForgetVertices(func(v graph.VID) bool { return affected[v] })
-	// The affected set is G-side, so it applies verbatim to every view's
-	// cached decisions; buildCandidateGenLocked refreshes the shared
-	// index and every view's generator with it.
-	for _, name := range s.sortedViewNamesLocked() {
-		s.views[name].matcher.ForgetVertices(func(v graph.VID) bool { return affected[v] })
-	}
 	s.buildCandidateGenLocked()
-	s.recordDelta(shard.Delta{Kind: shard.DeltaGraphEdge, From: from, To: to, Label: label})
-	for _, name := range s.sortedViewNamesLocked() {
-		s.views[name].record(shard.Delta{Kind: shard.DeltaGraphEdge, From: from, To: to, Label: label})
+	for _, name := range s.viewNamesLocked() {
+		vs := s.views[name]
+		vs.matcher.ForgetVertices(func(v graph.VID) bool { return affected[v] })
+		vs.record(shard.Delta{Kind: shard.DeltaGraphEdge, From: from, To: to, Label: label})
 	}
 	return nil
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // SnapLeak enforces the shard engine's snapshot-isolation contract: the
-// live graphs hanging off a System (`s.G`, `s.GD` — the ones AddTuple/
-// AddGraphVertex/AddGraphEdge mutate under the system lock) must never
-// escape into the shard serving layer, which reads its graphs at
-// request time without that lock. The only legal hand-off is a private
-// copy: `s.G.Clone()`. The analyzer taints every expression reachable
-// from a *Graph field of a System (including single-assignment local
-// aliases) and reports taint flowing into a shard-package sink — a
+// live graphs hanging off a System (`s.G`, `s.GD`) or one of its hosted
+// views (`vs.gd` of a viewState) — the ones AddTuple/AddGraphVertex/
+// AddGraphEdge mutate under the system lock — must never escape into
+// the shard serving layer, which reads its graphs at request time
+// without that lock. The only legal hand-off is a private copy:
+// `s.G.Clone()`. The analyzer taints every expression reachable from a
+// *Graph field of a System or viewState (including single-assignment
+// local aliases) and reports taint flowing into a shard-package sink — a
 // shard composite literal, a call into a shard package, or a store to a
 // shard-declared struct field. Clone() calls produce fresh values and
 // clear the taint.
@@ -63,8 +64,11 @@ func (sl *snapLeak) collectAliases(f *ast.File) {
 	})
 }
 
-// liveGraphSource reports whether e evaluates to a live System graph,
-// and which one.
+// liveGraphOwners names the structs whose *Graph fields are live graphs.
+var liveGraphOwners = map[string]bool{"System": true, "viewState": true}
+
+// liveGraphSource reports whether e evaluates to a live System or view
+// graph, and which one.
 func (sl *snapLeak) liveGraphSource(e ast.Expr) (string, bool) {
 	for {
 		p, ok := e.(*ast.ParenExpr)
@@ -83,10 +87,11 @@ func (sl *snapLeak) liveGraphSource(e ast.Expr) (string, bool) {
 		if !ok || !isGraphPtr(v.Type()) {
 			return "", false
 		}
-		if ownerName(s.Recv()) != "System" {
+		owner := ownerName(s.Recv())
+		if !liveGraphOwners[owner] {
 			return "", false
 		}
-		return "System." + v.Name(), true
+		return owner + "." + v.Name(), true
 	case *ast.Ident:
 		obj := sl.p.Pkg.Info.ObjectOf(e)
 		if obj == nil {

@@ -15,7 +15,13 @@ type System struct {
 	GD *graph.Graph
 }
 
-// holder is not a System; its graphs carry no snapshot contract.
+// viewState mirrors her's hosted-view state: gd is the view's live
+// graph, mutated under the system lock like System.GD.
+type viewState struct {
+	gd *graph.Graph
+}
+
+// holder is neither; its graphs carry no snapshot contract.
 type holder struct {
 	g *graph.Graph
 }
@@ -41,6 +47,17 @@ func badChainedAlias(s *System) *shard.Engine {
 	return shard.Consume(h) // want `live graph System.G escapes into shard call Consume`
 }
 
+func badViewState(vs *viewState) shard.Config {
+	return shard.Config{
+		Live: vs.gd, // want `live graph viewState.gd escapes into shard state`
+	}
+}
+
+// goodViewStateClone hands the engine a private copy of a view graph.
+func goodViewStateClone(vs *viewState) shard.Config {
+	return shard.Config{Live: vs.gd.Clone()}
+}
+
 // goodClone hands the engine a private copy.
 func goodClone(s *System) *shard.Engine {
 	return shard.Consume(s.G.Clone())
@@ -51,7 +68,7 @@ func goodCloneLiteral(s *System) shard.Config {
 	return shard.Config{Live: s.G.Clone(), Extra: s.GD.Clone()}
 }
 
-// goodHolder: graphs on non-System structs are out of scope.
+// goodHolder: graphs on other structs are out of scope.
 func goodHolder(h *holder) *shard.Engine {
 	return shard.Consume(h.g)
 }

@@ -59,13 +59,12 @@ import (
 // Server wraps a System with HTTP handlers.
 type Server struct {
 	sys *her.System
-	eng *shard.Engine // non-nil in sharded mode (NewSharded)
-	// viewEngs holds one shard engine per named view present when
-	// NewSharded built the server (views.go); nil in single-system mode.
-	viewEngs map[string]*shard.Engine
-	extract  extractCache // memoized GET /extract rendering (views.go)
-	mux      *http.ServeMux
-	reg      *obs.Registry
+	// engs holds one shard engine per view hosted when NewSharded built
+	// the server, keyed by view name; nil in single-system mode.
+	engs    map[string]*shard.Engine
+	extract extractCache // memoized GET /extract rendering (views.go)
+	mux     *http.ServeMux
+	reg     *obs.Registry
 	// MaxAPairMatches caps the matches returned inline by /apair
 	// (default 1000); the full count is always reported.
 	MaxAPairMatches int
@@ -148,46 +147,34 @@ func New(sys *her.System) *Server {
 // while unaffected entries keep serving without recomputation.
 // Call Close to stop the shard workers.
 func NewSharded(sys *her.System, shards int) (*Server, error) {
-	eng, err := shard.NewEngine(sys.ShardConfig(shards))
-	if err != nil {
-		return nil, err
-	}
 	s := New(sys)
-	s.eng = eng
-	// Every named view present now gets its own engine over the view's
+	s.engs = make(map[string]*shard.Engine)
+	// Every view present now gets its own engine over the view's
 	// ShardConfig — its own snapshots, generation anchor and delta log.
 	for _, name := range sys.ViewNames() {
-		if name == her.DirectViewName {
-			continue
-		}
 		vh, err := sys.View(name)
-		if err != nil {
-			continue
+		var eng *shard.Engine
+		if err == nil {
+			eng, err = shard.NewEngine(vh.ShardConfig(shards))
 		}
-		ve, err := shard.NewEngine(vh.ShardConfig(shards))
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		if s.viewEngs == nil {
-			s.viewEngs = make(map[string]*shard.Engine)
-		}
-		s.viewEngs[name] = ve
+		s.engs[name] = eng
 	}
 	return s, nil
 }
 
-// Engine exposes the sharded engine (nil in single-system mode).
-func (s *Server) Engine() *shard.Engine { return s.eng }
+// Engine exposes the direct view's sharded engine (nil in single-system
+// mode).
+func (s *Server) Engine() *shard.Engine { return s.engs[her.DirectViewName] }
 
-// Close stops the shard workers (direct and per-view); a no-op in
-// single-system mode.
+// Close stops the shard workers of every view; a no-op in single-system
+// mode.
 func (s *Server) Close() {
-	if s.eng != nil {
-		s.eng.Close()
-	}
-	for _, ve := range s.viewEngs {
-		ve.Close()
+	for _, eng := range s.engs {
+		eng.Close()
 	}
 }
 
@@ -475,7 +462,7 @@ func (s *Server) vpairMatches(ctx context.Context, vh *her.ViewHandle, rel strin
 		return out.pairs, out.err
 	}
 	sp := obs.SpanFrom(ctx)
-	if eng := s.engineFor(vh.Name()); eng != nil {
+	if eng := s.engs[vh.Name()]; eng != nil {
 		rsp := sp.Child("resolve")
 		u, err := vh.TupleVertex(rel, tuple)
 		rsp.End()
@@ -560,42 +547,26 @@ func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	var matches []her.Pair
-	var statsOut interface{}
-	switch {
-	case s.apairFn == nil && !vh.IsDirect():
-		// Named view: scatter-gather on the view's engine when it has
-		// one, the view's sequential matcher otherwise. (The BSP workers
-		// parameter applies only to the direct view's parallel engine.)
-		if eng := s.engineFor(vh.Name()); eng != nil {
-			matches, err = eng.APair(ctx, vh.SourceVertices())
-			if err != nil {
-				writeMatchErr(w, err, http.StatusInternalServerError)
-				return
-			}
-			info := eng.Snapshot()
-			statsOut = map[string]interface{}{
-				"view":       vh.Name(),
-				"shards":     info.Shards,
-				"haloRadius": info.HaloRadius,
-				"generation": info.Generation,
-			}
-			break
-		}
-		type res struct{ pairs []her.Pair }
-		out, rErr := runSeq(ctx, s.seqSlots(), func() res {
-			return res{pairs: vh.APair()}
-		})
-		if rErr != nil {
-			writeMatchErr(w, rErr, http.StatusInternalServerError)
+	var statsOut map[string]interface{}
+	if eng := s.engs[vh.Name()]; eng != nil && s.apairFn == nil {
+		// Sharded: the view's engine scatter-gathers over its fixed
+		// shard workers; the workers parameter does not apply.
+		matches, err = eng.APair(ctx, vh.SourceVertices())
+		if err != nil {
+			writeMatchErr(w, err, http.StatusInternalServerError)
 			return
 		}
-		matches = out.pairs
-		statsOut = map[string]interface{}{"view": vh.Name(), "mode": "sequential"}
-	case s.apairFn != nil || s.eng == nil:
+		info := eng.Snapshot()
+		statsOut = map[string]interface{}{
+			"shards":     info.Shards,
+			"haloRadius": info.HaloRadius,
+			"generation": info.Generation,
+		}
+	} else {
 		apair := s.apairFn
 		if apair == nil {
 			apair = func(n int) ([]her.Pair, her.ParallelStats, error) {
-				return s.sys.APairParallel(n)
+				return vh.APairParallel(n)
 			}
 		}
 		type res struct {
@@ -615,26 +586,13 @@ func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		matches = out.pairs
-		statsOut = map[string]int{
+		statsOut = map[string]interface{}{
 			"workers":        out.stats.Workers,
 			"supersteps":     out.stats.Supersteps,
 			"candidatePairs": out.stats.CandidatePairs,
 		}
-	default:
-		// Sharded mode: the engine scatter-gathers over its fixed shard
-		// workers; the workers parameter does not apply.
-		matches, err = s.eng.APair(ctx, s.sys.SourceVertices())
-		if err != nil {
-			writeMatchErr(w, err, http.StatusInternalServerError)
-			return
-		}
-		info := s.eng.Snapshot()
-		statsOut = map[string]interface{}{
-			"shards":     info.Shards,
-			"haloRadius": info.HaloRadius,
-			"generation": info.Generation,
-		}
 	}
+	statsOut["view"] = vh.Name()
 	shown := matches
 	if len(shown) > s.MaxAPairMatches {
 		shown = shown[:s.MaxAPairMatches]
@@ -754,8 +712,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"cleanups": st.Cleanups, "rechecks": st.Rechecks,
 		},
 	}
-	if s.eng != nil {
-		out["shard"] = s.eng.Snapshot()
+	if eng := s.Engine(); eng != nil {
+		out["shard"] = eng.Snapshot()
 	}
 	out["views"] = s.viewStats()
 	if ps, ok := s.sys.LastParallelStats(); ok {

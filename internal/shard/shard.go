@@ -107,7 +107,7 @@ type Config struct {
 	// while serving; see the Config comment.
 	Snapshot func(Config) Config
 	// Overrides reconciles a merged match set with user-verified
-	// verdicts (her.System.ApplyOverrides); nil means identity. scope
+	// verdicts (a her view's overrides); nil means identity. scope
 	// is the G_D vertex for VPair requests, graph.NoVertex for APair.
 	Overrides func(matches []core.Pair, scope graph.VID) []core.Pair
 	// Metrics receives the engine's instrumentation (nil disables it).

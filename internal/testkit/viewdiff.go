@@ -20,17 +20,74 @@ import (
 // DirectViewDiff compiles view.Direct(db) and rdb2rdf.Map(db) and
 // compares them for byte identity: serialized graph bytes (WriteTSV
 // covers labels, edge order and vertex numbering) plus the tuple-vertex,
-// attribute-vertex and FK-edge tables of the mappings. A non-nil error
-// describes the first divergence.
+// attribute-vertex and FK-edge tables of the mappings. It then appends
+// one fresh-key tuple per relation to a copy of db, extends both sides
+// (rdb2rdf.AddTuple and view.ExtendTuple) and compares again: on the
+// common write path the direct view's vertex ids must not move. A
+// non-nil error describes the first divergence.
 func DirectViewDiff(db *relational.Database) error {
+	db = copyDB(db)
 	wantG, wantM, err := rdb2rdf.Map(db)
 	if err != nil {
 		return fmt.Errorf("rdb2rdf.Map: %w", err)
 	}
-	gotG, gotM, err := view.Compile(view.Direct(db), db)
+	def := view.Direct(db)
+	gotG, gotM, err := view.Compile(def, db)
 	if err != nil {
 		return fmt.Errorf("view.Compile(Direct): %w", err)
 	}
+	if err := diffDirect(db, wantG, wantM, gotG, gotM); err != nil {
+		return err
+	}
+	for _, relName := range db.RelationNames() {
+		rel := db.Relation(relName)
+		vals := make([]string, len(rel.Schema.Attrs))
+		for i := range vals {
+			vals[i] = relational.Null
+		}
+		if len(rel.Tuples) > 0 {
+			copy(vals, rel.Tuples[0].Values)
+		}
+		if k := rel.Schema.AttrIndex(rel.Schema.Key); k >= 0 {
+			vals[k] = fmt.Sprintf("%s fresh %d", relName, len(rel.Tuples))
+		}
+		id, err := rel.Insert(vals...)
+		if err != nil {
+			return fmt.Errorf("insert into %s: %w", relName, err)
+		}
+		if err := rdb2rdf.AddTuple(wantG, wantM, db, relName, id); err != nil {
+			return fmt.Errorf("rdb2rdf.AddTuple(%s/%d): %w", relName, id, err)
+		}
+		if err := view.ExtendTuple(gotG, gotM, def, db, relName, id); err != nil {
+			return fmt.Errorf("view.ExtendTuple(%s/%d): %w", relName, id, err)
+		}
+		if err := diffDirect(db, wantG, wantM, gotG, gotM); err != nil {
+			return fmt.Errorf("after appending %s/%d: %w", relName, id, err)
+		}
+	}
+	return nil
+}
+
+// copyDB copies db's schemas and tuples (in id order) into a fresh
+// database, so DirectViewDiff can append without touching its input.
+func copyDB(db *relational.Database) *relational.Database {
+	names := db.RelationNames()
+	schemas := make([]*relational.Schema, 0, len(names))
+	for _, n := range names {
+		schemas = append(schemas, db.Relation(n).Schema)
+	}
+	out := relational.NewDatabase(schemas...)
+	for _, n := range names {
+		for _, t := range db.Relation(n).Tuples {
+			out.Relation(n).MustInsert(t.Values...)
+		}
+	}
+	return out
+}
+
+// diffDirect compares an rdb2rdf graph and mapping with a direct view's
+// over the same database.
+func diffDirect(db *relational.Database, wantG *graph.Graph, wantM *rdb2rdf.Mapping, gotG *graph.Graph, gotM *view.Mapping) error {
 	var wantB, gotB bytes.Buffer
 	if err := wantG.WriteTSV(&wantB); err != nil {
 		return err
@@ -101,15 +158,4 @@ func SlimViewDef(db *relational.Database) *view.Def {
 		}
 	}
 	return d
-}
-
-// CompileSlim materializes the slim view over db, returning its graph,
-// mapping and canonical dump.
-func CompileSlim(db *relational.Database) (*graph.Graph, *view.Mapping, string, error) {
-	def := SlimViewDef(db)
-	g, m, err := view.Compile(def, db)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	return g, m, view.CanonicalDump(g, m, db), nil
 }

@@ -8,6 +8,7 @@ import (
 	"her/internal/graph"
 	"her/internal/relational"
 	"her/internal/shard"
+	"her/internal/view"
 )
 
 // goldenViewDB mirrors the rdb2rdf golden fixture: maker(name, country)
@@ -90,9 +91,10 @@ func smallTargetGraph() *graph.Graph {
 
 // TestViewMutationDifferential drives a mutation sequence through a
 // System hosting the slim view and checks, after every step, that the
-// incrementally maintained view is canonically equal to a re-extraction
-// from scratch — including the step that resolves a dangling FK, which
-// append-only extension cannot express and must recompile.
+// incrementally maintained views — slim and the built-in direct one —
+// are canonically equal to a re-extraction from scratch, including the
+// step that resolves a dangling FK, which append-only extension cannot
+// express and must recompile.
 func TestViewMutationDifferential(t *testing.T) {
 	db := mutationViewDB(t)
 	sys, err := her.New(db, smallTargetGraph(), her.Options{Seed: 1})
@@ -106,20 +108,30 @@ func TestViewMutationDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dh, err := sys.View(her.DirectViewName)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	check := func(step string) {
 		t.Helper()
-		got, err := vh.CanonicalDump()
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		_, _, want, err := CompileSlim(sys.DB)
-		if err != nil {
-			t.Fatalf("%s: recompile: %v", step, err)
-		}
-		if got != want {
-			t.Fatalf("%s: maintained view diverges from re-extraction:\nmaintained:\n%s\nrecompiled:\n%s",
-				step, got, want)
+		for _, c := range []struct {
+			h   *her.ViewHandle
+			def *view.Def
+		}{{vh, SlimViewDef(sys.DB)}, {dh, view.Direct(sys.DB)}} {
+			h, def := c.h, c.def
+			got, err := h.CanonicalDump()
+			if err != nil {
+				t.Fatalf("%s: %s: %v", step, h.Name(), err)
+			}
+			g, m, err := view.Compile(def, sys.DB)
+			if err != nil {
+				t.Fatalf("%s: %s: recompile: %v", step, h.Name(), err)
+			}
+			if want := view.CanonicalDump(g, m, sys.DB); got != want {
+				t.Fatalf("%s: maintained view %s diverges from re-extraction:\nmaintained:\n%s\nrecompiled:\n%s",
+					step, h.Name(), got, want)
+			}
 		}
 	}
 	check("initial")

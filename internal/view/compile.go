@@ -27,9 +27,9 @@ type Mapping struct {
 }
 
 // danglingRef keys a dangling reference: the referenced relation plus
-// the key value that failed to resolve. rdb2rdf never needs this
-// because the direct mapping freezes dangling FKs forever; views
-// recompile when a later tuple resolves one.
+// the key value that failed to resolve. rdb2rdf.AddTuple freezes
+// dangling FKs forever; views, the direct one included, recompile when
+// a later tuple resolves one.
 type danglingRef struct {
 	Relation string
 	Key      string

@@ -4,10 +4,10 @@
 // projected as leaf vertices, and which foreign-key join paths and
 // bounded FK closures become edges. Compiling a Def against a
 // relational.Database materializes a graph.Graph plus a tuple↔vertex
-// Mapping, so every view is a first-class linking target alongside the
-// canonical RDB2RDF direct mapping — which is itself expressible as the
-// built-in Direct view, byte-identical to rdb2rdf.Map output (the
-// differential gate in internal/testkit keeps this honest).
+// Mapping, so every view is a first-class linking target. The canonical
+// RDB2RDF direct mapping is itself the built-in Direct view, which is
+// how her.System builds its G_D: byte-identical to rdb2rdf.Map output
+// (the differential gate in internal/testkit keeps this honest).
 //
 // The design follows GraphGen's "graphs as declarative views over
 // relational data" (PAPERS.md): the paper's framework only requires
@@ -185,12 +185,13 @@ func (d *Def) String() string {
 }
 
 // quoteTok renders a token for String(): bare when it survives the
-// tokenizer unchanged, double-quoted otherwise.
+// tokenizer unchanged, double-quoted otherwise. A bare '\r' would not
+// survive: the line scanner drops it before a newline.
 func quoteTok(s string) string {
 	bare := s != "" && s != "*"
 	for i := 0; bare && i < len(s); i++ {
 		switch s[i] {
-		case ' ', '\t', '"', '#', '\\':
+		case ' ', '\t', '\r', '\n', '"', '#', '\\':
 			bare = false
 		}
 	}

@@ -80,25 +80,26 @@ func (s *System) TrainRanker(sampleVertices, epochs int) error {
 		}
 		return out
 	}
-	o := s.Options() // snapshot: SetThresholds may mutate s.opts concurrently
-	corpus := ranking.TrainingPaths(s.GD, starts(s.GD), o.MaxPathLen, ranking.RejectPassThrough(s.GD))
+	s.mu.Lock()
+	o, gd := s.opts, s.GD // snapshot: SetThresholds and recompiles mutate them concurrently
+	s.mu.Unlock()
+	corpus := ranking.TrainingPaths(gd, starts(gd), o.MaxPathLen, ranking.RejectPassThrough(gd))
 	corpus = append(corpus, ranking.TrainingPaths(s.G, starts(s.G), o.MaxPathLen, ranking.RejectPassThrough(s.G))...)
 	if len(corpus) == 0 {
 		return fmt.Errorf("her: empty ranker training corpus")
 	}
-	vocab := lstm.NewVocab(append(embed.LabelVocabulary(s.GD), embed.LabelVocabulary(s.G)...))
+	vocab := lstm.NewVocab(append(embed.LabelVocabulary(gd), embed.LabelVocabulary(s.G)...))
 	lm := lstm.New(vocab, o.LSTMEmbed, o.LSTMHidden, o.Seed)
 	lm.Train(corpus, lstm.TrainConfig{
 		Epochs: epochs, LearnRate: 0.05, Clip: 5, Seed: o.Seed,
 	})
-	s.lm = lm
-	s.rankerD = ranking.NewRanker(s.GD, lm, o.MaxPathLen)
-	s.rankerG = ranking.NewRanker(s.G, lm, o.MaxPathLen)
+	// The model is built aside and installed whole under the lock, with
+	// every ranker rebuilt around it: serving paths and shard snapshots
+	// read the model and rankers under the same lock.
 	s.mu.Lock()
-	s.rebuildViewRankersLocked()
-	s.mu.Unlock()
-	s.ResetMatchState()
-	return nil
+	defer s.mu.Unlock()
+	s.installLMLocked(lm)
+	return s.resetMatcherLocked()
 }
 
 // LearnThresholds runs the paper's random search over (σ, δ, k) against
@@ -126,7 +127,10 @@ func (s *System) LearnThresholds(val []Annotation, space learn.SearchSpace, tria
 // matcher (shared rankers and scorers), without touching system state.
 func (s *System) EvaluateWith(th Thresholds, anns []Annotation) learn.Eval {
 	p := core.Params{Mv: s.sc.Mv, Mrho: s.sc.Mrho, Sigma: th.Sigma, Delta: th.Delta, K: th.K}
-	m, err := core.NewMatcher(s.GD, s.G, s.rankerD, s.rankerG, p)
+	s.mu.Lock()
+	gd, rankerD, rankerG := s.GD, s.direct.vs.rankerD, s.rankerG
+	s.mu.Unlock()
+	m, err := core.NewMatcher(gd, s.G, rankerD, rankerG, p)
 	if err != nil {
 		return learn.Eval{}
 	}
@@ -153,7 +157,7 @@ func (s *System) Refine(fb []Feedback) {
 	s.mu.Lock()
 	seed := s.opts.Seed // captured here: the fine-tune below runs unlocked
 	for _, f := range fb {
-		s.overrides[f.Pair] = f.IsMatch
+		s.direct.vs.overrides[f.Pair] = f.IsMatch
 		feats := s.alignedPathFeaturesLocked(f.Pair)
 		if f.IsMatch {
 			pos = append(pos, feats...)
@@ -181,7 +185,7 @@ func (s *System) Refine(fb []Feedback) {
 // the "path-path matches" the paper marks as similar or dissimilar.
 // Callers hold s.mu (k lives in s.opts).
 func (s *System) alignedPathFeaturesLocked(p Pair) [][]float64 {
-	du := s.rankerD.TopK(p.U, s.opts.K)
+	du := s.direct.vs.rankerD.TopK(p.U, s.opts.K)
 	dv := s.rankerG.TopK(p.V, s.opts.K)
 	n := len(du)
 	if len(dv) < n {
@@ -198,7 +202,7 @@ func (s *System) alignedPathFeaturesLocked(p Pair) [][]float64 {
 func (s *System) Overrides() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.overrides)
+	return len(s.direct.vs.overrides)
 }
 
 // MrhoScore exposes the raw M_ρ score for diagnostics and examples.

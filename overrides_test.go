@@ -117,3 +117,59 @@ func TestOverrideScope(t *testing.T) {
 		}
 	}
 }
+
+// TestOverridesSurviveRecompile: a new tuple that resolves a dangling
+// foreign key recompiles the direct view, which renumbers its vertices;
+// user-verified verdicts must follow their tuples to the new ids.
+func TestOverridesSurviveRecompile(t *testing.T) {
+	brand, err := NewSchema("brand", []string{"name", "country"}, "name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	product, err := NewSchema("product", []string{"name", "color", "brand"}, "name",
+		ForeignKey{Attr: "brand", RefRelation: "brand"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase(brand, product)
+	db.Relation("product").MustInsert("Aurora Trail Runner 7", "red", "Acme") // dangles until Acme arrives
+	g := NewGraph()
+	g.MustAddEdge(g.AddVertex("product"), g.AddVertex("Aurora Trail Runner"), "productName")
+	sys, err := New(db, g, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.TupleVertex("product", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	confirmed := sys.AddGraphVertex("product")
+	sys.Refine([]Feedback{{Pair: Pair{U: u, V: confirmed}, IsMatch: true}})
+	if ok, err := sys.SPair("product", 0, confirmed); err != nil || !ok {
+		t.Fatalf("setup: SPair = %v, %v", ok, err)
+	}
+
+	if _, err := sys.AddTuple("brand", "Acme", "US"); err != nil {
+		t.Fatal(err)
+	}
+	u2, err := sys.TupleVertex("product", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u2 == u {
+		t.Fatalf("product/0 kept vertex %d: the dangling FK did not recompile the direct view", u)
+	}
+	if ok, err := sys.SPair("product", 0, confirmed); err != nil || !ok {
+		t.Fatalf("override lost across the recompile: SPair = %v, %v", ok, err)
+	}
+	found := false
+	for _, m := range sys.VPairVertex(u2) {
+		found = found || m.V == confirmed
+	}
+	if !found {
+		t.Error("confirmed pair missing from VPair after the recompile")
+	}
+	if n := sys.Overrides(); n != 1 {
+		t.Errorf("overrides = %d, want 1", n)
+	}
+}

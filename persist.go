@@ -10,7 +10,6 @@ import (
 	"her/internal/embed"
 	"her/internal/lstm"
 	"her/internal/nn"
-	"her/internal/ranking"
 )
 
 // modelFile is the gob envelope for a System's learned state: the
@@ -62,7 +61,7 @@ func (s *System) SaveModels(w io.Writer) error {
 	}
 	// The metrics registry is runtime state, not a learned parameter.
 	f.Options.Metrics = nil
-	for k, v := range s.overrides {
+	for k, v := range s.direct.vs.overrides {
 		f.Overrides = append(f.Overrides, overrideEntry{Pair: k, Verdict: v})
 	}
 	sort.Slice(f.Overrides, func(i, j int) bool {
@@ -135,14 +134,11 @@ func (s *System) LoadModels(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		s.lm = lm
-		s.rankerD = ranking.NewRanker(s.GD, lm, s.opts.MaxPathLen)
-		s.rankerG = ranking.NewRanker(s.G, lm, s.opts.MaxPathLen)
-		s.rebuildViewRankersLocked()
+		s.installLMLocked(lm)
 	}
-	s.overrides = make(map[core.Pair]bool, len(f.Overrides))
+	s.direct.vs.overrides = make(map[core.Pair]bool, len(f.Overrides))
 	for _, e := range f.Overrides {
-		s.overrides[e.Pair] = e.Verdict
+		s.direct.vs.overrides[e.Pair] = e.Verdict
 	}
 	s.sc.mu.Lock()
 	s.sc.mvTable = make(map[[2]string]float64, len(f.MvTable))
